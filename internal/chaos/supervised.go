@@ -152,12 +152,8 @@ func SupervisedSoak(ctx context.Context, cfg SupervisedSoakConfig) (SupervisedRe
 		clk = clock.System()
 	}
 	// Under an injected clock every engine in the soak shares one wheel
-	// riding it; on the wall clock the process-wide default wheel serves,
-	// as before.
-	var wheel *engine.Wheel
-	if cfg.Clock != nil {
-		wheel = engine.NewWheelOn(cfg.Clock, 0, 0)
-	}
+	// riding it; on the wall clock the process-wide default wheel serves.
+	wheel := engine.WheelFor(cfg.Clock)
 
 	build := cfg.Links
 	if build == nil {

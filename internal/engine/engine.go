@@ -100,13 +100,13 @@ type Config struct {
 	Metrics       *metrics.Registry
 	MetricsPrefix string
 	// Wheel is the timer wheel endpoints hand to layers above. Nil picks
-	// a wheel for Clock: DefaultWheel() when Clock is also nil (the wall
-	// clock), or a wheel built on Clock otherwise.
+	// WheelFor(Clock).
 	Wheel *Wheel
-	// Clock is the engine's time source when no Wheel is given. A
-	// *clock.Virtual costs nothing extra (a virtual wheel has no
-	// goroutine); other non-nil clocks spawn a wheel goroutine per
-	// engine, so real-clock callers should share a Wheel instead.
+	// Clock is the engine's time source when no Wheel is given. Nil and
+	// clock.System() share DefaultWheel(); a *clock.Virtual costs nothing
+	// extra (a virtual wheel has no goroutine); any other clock spawns a
+	// wheel goroutine per engine, so such callers should share a Wheel
+	// instead.
 	Clock clock.Clock
 }
 
@@ -163,11 +163,7 @@ func New(conn Conn, cfg Config) *Engine {
 		cfg.TransientDelay = time.Millisecond
 	}
 	if cfg.Wheel == nil {
-		if cfg.Clock != nil {
-			cfg.Wheel = NewWheelOn(cfg.Clock, 0, 0)
-		} else {
-			cfg.Wheel = DefaultWheel()
-		}
+		cfg.Wheel = WheelFor(cfg.Clock)
 	}
 	reg := cfg.Metrics
 	if reg == nil {

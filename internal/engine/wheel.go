@@ -103,6 +103,19 @@ func DefaultWheel() *Wheel {
 	return defaultWheel
 }
 
+// WheelFor picks the wheel a component riding clk shares: the
+// process-wide DefaultWheel for a nil clock or the wall clock
+// (clock.Real, what clock.System returns), and a fresh wheel on clk
+// otherwise (goroutine-free for a *clock.Virtual). Every "wheel from an
+// optional clock" default goes through here, so a wall-clock component
+// never starts a private ticker goroutine that nothing would stop.
+func WheelFor(clk clock.Clock) *Wheel {
+	if _, wall := clk.(clock.Real); clk == nil || wall {
+		return DefaultWheel()
+	}
+	return NewWheelOn(clk, 0, 0)
+}
+
 // Timer is one scheduled callback. It fires once; re-arm it from the
 // callback with Reset for periodic work (no allocation per period).
 type Timer struct {

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ghm/internal/clock"
 )
 
 func TestWheelAfterFuncFires(t *testing.T) {
@@ -170,5 +172,19 @@ func TestWheelResetAllocs(t *testing.T) {
 		tm.Reset(time.Hour)
 	}); avg > 0 {
 		t.Errorf("Timer.Reset allocs/op = %v, want 0", avg)
+	}
+}
+
+// TestWheelFor pins the one wheel-selection rule: the wall clock, nil or
+// not, shares the default wheel (no private ticker goroutine to leak),
+// and any other clock gets a wheel of its own riding it.
+func TestWheelFor(t *testing.T) {
+	if WheelFor(nil) != DefaultWheel() || WheelFor(clock.System()) != DefaultWheel() {
+		t.Fatal("wall-clock components must share DefaultWheel")
+	}
+	v := clock.NewVirtual(time.Time{}, 1)
+	w := WheelFor(v)
+	if w == DefaultWheel() || w.Clock() != clock.Clock(v) {
+		t.Fatalf("a virtual clock needs its own wheel riding it, got clock %v", w.Clock())
 	}
 }

@@ -37,3 +37,9 @@ func badStamps(start time.Time) time.Duration {
 	_ = now
 	return time.Since(start) // want "time.Since"
 }
+
+// A deadline on the injected clock must be diffed against that clock's
+// Now: time.Until measures it against the wall clock.
+func badDelay(deadline time.Time) time.Duration {
+	return time.Until(deadline) // want "time.Until"
+}

@@ -161,16 +161,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// meshWheel picks the mesh's timer wheel: the process-wide default on
-// the wall clock, or a wheel riding the injected clock (costless for a
-// virtual clock — virtual wheels have no goroutine).
-func meshWheel(clk clock.Clock) *engine.Wheel {
-	if clk == nil {
-		return engine.DefaultWheel()
-	}
-	return engine.NewWheelOn(clk, 0, 0)
-}
-
 // hopID names a directed hop.
 type hopID struct {
 	From, To int
@@ -186,6 +176,15 @@ type hop struct {
 	id   hopID
 	link int
 	live *verify.Live
+}
+
+// route is one link-disjoint source route.
+type route struct {
+	nodes []int
+	wire  []byte // nodes as a frame's Route field, encoded once in New
+	// up caches usableLocked(nodes), refreshed on every hop or node
+	// transition. Guarded by Mesh.mu.
+	up bool
 }
 
 // entry is one in-flight end-to-end payload at the source router.
@@ -222,7 +221,7 @@ type Mesh struct {
 	reg    *metrics.Registry
 	mt     relayMetrics
 	topo   Topology
-	routes [][]int
+	routes []route
 	wheel  *engine.Wheel
 
 	engines []*engine.Engine // one per conn half, mesh-owned
@@ -237,9 +236,11 @@ type Mesh struct {
 	deliveredSet map[endKey]bool
 	hopHealth    map[hopID]supervise.Health
 	nodeUp       []bool
+	usable       int // routes with up set
 	nextID       uint64
 	rr           int // round-robin route cursor
 	parked       int
+	timerArmed   bool  // the ack-timeout timer is pending
 	err          error // sticky fatal (MaxAttempts exhausted)
 	closed       bool
 
@@ -272,13 +273,21 @@ func New(cfg Config) (*Mesh, error) {
 	if cfg.Source == cfg.Dest {
 		return nil, fmt.Errorf("relay: source and dest are both node %d", cfg.Source)
 	}
-	routes := cfg.Topology.DisjointRoutes(cfg.Source, cfg.Dest, cfg.Routes)
-	if len(routes) == 0 {
+	paths := cfg.Topology.DisjointRoutes(cfg.Source, cfg.Dest, cfg.Routes)
+	if len(paths) == 0 {
 		return nil, fmt.Errorf("relay: no route from %d to %d", cfg.Source, cfg.Dest)
 	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.Default()
+	}
+
+	routes := make([]route, len(paths))
+	for i, p := range paths {
+		routes[i] = route{nodes: p, wire: make([]byte, len(p))}
+		for j, n := range p {
+			routes[i].wire[j] = byte(n)
+		}
 	}
 
 	m := &Mesh{
@@ -287,7 +296,7 @@ func New(cfg Config) (*Mesh, error) {
 		mt:           newRelayMetrics(reg),
 		topo:         cfg.Topology,
 		routes:       routes,
-		wheel:        meshWheel(cfg.Clock),
+		wheel:        engine.WheelFor(cfg.Clock),
 		hops:         make(map[hopID]*hop),
 		deliveredCh:  make(chan []byte, cfg.DeliveryBuffer),
 		inflight:     make(map[uint64]*entry),
@@ -331,13 +340,13 @@ func New(cfg Config) (*Mesh, error) {
 		}
 		m.mu.Lock()
 		m.nodeUp[n.id] = true
+		m.refreshRoutesLocked()
 		m.mu.Unlock()
 	}
 
 	m.timer = m.wheel.AfterFunc(time.Hour, m.signal)
 	m.timer.Stop()
 	go m.router()
-	m.signal()
 	return m, nil
 }
 
@@ -366,14 +375,18 @@ func (m *Mesh) signal() {
 func (m *Mesh) addHop() { m.st.hops.Add(1) }
 func (m *Mesh) addDup() { m.st.dups.Add(1) }
 
-// noteHopHealth records a hop transition and wakes the router: a
-// worsened hop triggers failover of in-flight payloads routed over it, a
-// recovered hop resumes parked ones.
+// noteHopHealth records a hop transition and, when it changes which
+// routes are usable, wakes the router: a worsened hop triggers failover
+// of in-flight payloads routed over it, a recovered hop resumes parked
+// ones.
 func (m *Mesh) noteHopHealth(h hopID, to supervise.Health) {
 	m.mu.Lock()
 	m.hopHealth[h] = to
+	changed := m.refreshRoutesLocked()
 	m.mu.Unlock()
-	m.signal()
+	if changed {
+		m.signal()
+	}
 }
 
 // HopHealth returns the mesh's current view of a directed hop (Healthy
@@ -388,7 +401,7 @@ func (m *Mesh) HopHealth(from, to int) supervise.Health {
 func (m *Mesh) Routes() [][]int {
 	out := make([][]int, len(m.routes))
 	for i, r := range m.routes {
-		out[i] = append([]int(nil), r...)
+		out[i] = append([]int(nil), r.nodes...)
 	}
 	return out
 }
@@ -408,8 +421,10 @@ func (m *Mesh) HopReports() map[string]verify.Report {
 func (m *Mesh) Delivered() <-chan []byte { return m.deliveredCh }
 
 // Submit accepts a payload at the source for end-to-end delivery and
-// returns its mesh id. The payload is dispatched immediately over the
-// healthiest route, or parked if no route is usable right now.
+// returns its mesh id. The payload is dispatched inline over the next
+// usable route, or parked if no route is usable right now. Submit does
+// not wake the router; it only arms the ack-timeout timer when that is
+// idle.
 func (m *Mesh) Submit(payload []byte) (uint64, error) {
 	cp := append([]byte(nil), payload...)
 	m.mu.Lock()
@@ -426,7 +441,12 @@ func (m *Mesh) Submit(payload []byte) (uint64, error) {
 	m.inflight[id] = e
 	m.st.submitted.Add(1)
 	m.dispatchLocked(e, m.wheel.Clock().Now())
-	m.signal() // re-arm the ack-timeout timer around the new entry
+	if !e.deadline.IsZero() && !m.timerArmed {
+		// Every armed deadline is earlier than this one, so an armed
+		// timer already fires in time for it.
+		m.timerArmed = true
+		m.timer.Reset(m.cfg.AckTimeout)
+	}
 	return id, nil
 }
 
@@ -446,24 +466,44 @@ func (m *Mesh) usableLocked(r []int) bool {
 	return true
 }
 
-// usableRoutesLocked lists the indexes of currently usable routes.
-func (m *Mesh) usableRoutesLocked() []int {
-	var out []int
-	for i, r := range m.routes {
-		if m.usableLocked(r) {
-			out = append(out, i)
+// refreshRoutesLocked recomputes every route's up flag after a hop or
+// node transition and reports whether any of them changed — the only
+// case in which the router has failover or resume work to do.
+func (m *Mesh) refreshRoutesLocked() bool {
+	changed := false
+	m.usable = 0
+	for i := range m.routes {
+		r := &m.routes[i]
+		up := m.usableLocked(r.nodes)
+		if up != r.up {
+			r.up = up
+			changed = true
+		}
+		if up {
+			m.usable++
 		}
 	}
-	return out
+	m.mt.routesUsable.Set(float64(m.usable))
+	return changed
+}
+
+// nextRouteLocked picks the next usable route round-robin.
+func (m *Mesh) nextRouteLocked() int {
+	for i := range m.routes {
+		idx := (m.rr + i) % len(m.routes)
+		if m.routes[idx].up {
+			m.rr = idx + 1
+			return idx
+		}
+	}
+	return -1
 }
 
 // dispatchLocked sends (or re-sends) one entry over the next usable
 // route, or parks it when none is usable. Caller holds m.mu.
 func (m *Mesh) dispatchLocked(e *entry, now time.Time) {
-	usable := m.usableRoutesLocked()
-	m.mt.routesUsable.Set(float64(len(usable)))
-	if len(usable) == 0 {
-		m.parkLocked(e)
+	if m.usable == 0 {
+		m.parkLocked(e, time.Time{})
 		return
 	}
 	if m.cfg.MaxAttempts > 0 && int(e.attempt) >= m.cfg.MaxAttempts {
@@ -478,8 +518,7 @@ func (m *Mesh) dispatchLocked(e *entry, now time.Time) {
 		return
 	}
 
-	idx := usable[m.rr%len(usable)]
-	m.rr++
+	idx := m.nextRouteLocked()
 	e.attempt++
 	e.routeIdx = idx
 	e.deadline = now.Add(m.cfg.AckTimeout)
@@ -489,39 +528,39 @@ func (m *Mesh) dispatchLocked(e *entry, now time.Time) {
 		m.mt.parked.Set(float64(m.parked))
 	}
 
-	route := m.routes[idx]
-	rb := make([]byte, len(route))
-	for i, n := range route {
-		rb[i] = byte(n)
-	}
 	f := frame{
 		Kind:    frameData,
 		Src:     byte(m.cfg.Source),
 		Dst:     byte(m.cfg.Dest),
 		ID:      e.id,
 		Attempt: e.attempt,
-		Route:   rb,
+		Route:   m.routes[idx].wire,
 		Payload: e.payload,
 	}
-	sess := m.nodes[m.cfg.Source].sessionTo(route[1])
+	// A usable route has its source node up, but the hop session can
+	// still refuse the frame (the node is mid-stop, a WAL write failed):
+	// park the entry and retry it at the ack deadline, since no health
+	// event may follow.
+	sess := m.nodes[m.cfg.Source].sessionTo(m.routes[idx].nodes[1])
 	if sess == nil {
-		m.parkLocked(e)
+		m.parkLocked(e, e.deadline)
 		return
 	}
 	if _, err := sess.Enqueue(appendFrame(nil, f)); err != nil {
-		m.parkLocked(e)
+		m.parkLocked(e, e.deadline)
 		return
 	}
 }
 
-// parkLocked parks an entry until some route recovers.
-func (m *Mesh) parkLocked(e *entry) {
+// parkLocked parks an entry until some route recovers or, with a
+// non-zero retry, until the ack-timeout timer passes retry.
+func (m *Mesh) parkLocked(e *entry, retry time.Time) {
 	if !e.parked {
 		e.parked = true
 		m.parked++
 		m.mt.parked.Set(float64(m.parked))
 	}
-	e.deadline = time.Time{}
+	e.deadline = retry
 }
 
 // completeAck resolves one end-to-end ack at the source.
@@ -539,9 +578,6 @@ func (m *Mesh) completeAck(id uint64) {
 		m.cond.Broadcast()
 	}
 	m.mu.Unlock()
-	if ok {
-		m.signal()
-	}
 }
 
 // deliverLocal commits one data frame at the destination: end-to-end
@@ -557,13 +593,14 @@ func (m *Mesh) deliverLocal(n *node, f frame) {
 	}
 	m.mu.Unlock()
 
+	var rev [maxRouteLen]byte
 	ack := frame{
 		Kind:    frameAck,
 		Src:     f.Dst,
 		Dst:     f.Src,
 		ID:      f.ID,
 		Attempt: f.Attempt,
-		Route:   reverseRoute(f.Route),
+		Route:   reverseRoute(rev[:], f.Route),
 	}
 	if next, ok := nextHop(ack.Route, n.id); ok {
 		if sess := n.sessionTo(next); sess != nil {
@@ -587,11 +624,14 @@ func (m *Mesh) deliverLocal(n *node, f frame) {
 	}
 }
 
-// router is the failover loop: on every wake — a health transition, an
-// ack, a submit, a node stop/restart or an ack-timeout firing — it
-// reconciles the in-flight table against route health, re-dispatching
-// entries whose route worsened or whose ack is overdue and resuming
-// parked ones, then re-arms the timeout timer.
+// router is the failover loop. It wakes only when the in-flight table's
+// answer can change — a route's usability flipped (hop health, node stop
+// or restart) or the ack-timeout timer fired — and reconciles the table:
+// entries whose route is no longer usable or whose ack is overdue are
+// re-dispatched, parked ones resume, and the timer is re-armed at the
+// earliest remaining deadline. Submit dispatches inline and acks only
+// remove entries, so neither wakes it; a timer left armed for an entry
+// since acked fires with nothing overdue and just re-arms.
 func (m *Mesh) router() {
 	defer close(m.routerDone)
 	for {
@@ -608,7 +648,7 @@ func (m *Mesh) router() {
 func (m *Mesh) reconcile() {
 	now := m.wheel.Clock().Now()
 	m.mu.Lock()
-	m.mt.routesUsable.Set(float64(len(m.usableRoutesLocked())))
+	defer m.mu.Unlock()
 	var earliest time.Time
 	for _, e := range m.inflight {
 		if m.err != nil {
@@ -617,23 +657,21 @@ func (m *Mesh) reconcile() {
 		switch {
 		case e.parked:
 			m.dispatchLocked(e, now) // parks again if still no route
-		case !m.usableLocked(m.routes[e.routeIdx]) || !now.Before(e.deadline):
+		case !m.routes[e.routeIdx].up || !now.Before(e.deadline):
 			// Health-driven failover or ack-timeout backstop.
 			m.mt.reroutes.Inc()
 			m.st.reroutes.Add(1)
 			m.dispatchLocked(e, now)
 		}
-		if !e.parked && !e.deadline.IsZero() && (earliest.IsZero() || e.deadline.Before(earliest)) {
+		if !e.deadline.IsZero() && (earliest.IsZero() || e.deadline.Before(earliest)) {
 			earliest = e.deadline
 		}
 	}
-	m.mu.Unlock()
-	if !earliest.IsZero() {
-		d := time.Until(earliest)
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		m.timer.Reset(d)
+	// Deadlines are on the mesh clock, so the delay is measured on it
+	// too (a virtual deadline is nowhere near the wall clock).
+	m.timerArmed = !earliest.IsZero()
+	if m.timerArmed {
+		m.timer.Reset(earliest.Sub(now))
 	}
 }
 
@@ -650,9 +688,12 @@ func (m *Mesh) StopNode(id int) error {
 	for _, end := range m.nodes[id].ends {
 		m.hopHealth[hopID{From: id, To: end.peer}] = supervise.Down
 	}
+	changed := m.refreshRoutesLocked()
 	m.mu.Unlock()
 	m.nodes[id].stop()
-	m.signal()
+	if changed {
+		m.signal()
+	}
 	return nil
 }
 
@@ -678,10 +719,13 @@ func (m *Mesh) RestartNode(id int) error {
 	}
 	m.mu.Lock()
 	m.nodeUp[id] = true
+	changed := m.refreshRoutesLocked()
 	m.mu.Unlock()
 	m.mt.nodeRestarts.Inc()
 	m.st.nodeRestarts.Add(1)
-	m.signal()
+	if changed {
+		m.signal()
+	}
 	return nil
 }
 
@@ -735,7 +779,7 @@ func (m *Mesh) Stats() Stats {
 	m.mu.Lock()
 	pending := len(m.inflight)
 	parked := m.parked
-	usable := len(m.usableRoutesLocked())
+	usable := m.usable
 	m.mu.Unlock()
 	return Stats{
 		Submitted:     int(m.st.submitted.Load()),
@@ -758,7 +802,6 @@ func (m *Mesh) Close() error {
 	m.closeOnce.Do(func() {
 		close(m.stop)
 		<-m.routerDone
-		m.timer.Stop()
 		for _, n := range m.nodes {
 			n.stop()
 		}
@@ -767,6 +810,7 @@ func (m *Mesh) Close() error {
 		}
 		m.mu.Lock()
 		m.closed = true
+		m.timer.Stop() // under m.mu: Submit cannot re-arm it past here
 		m.cond.Broadcast()
 		m.mu.Unlock()
 		close(m.deliveredCh)

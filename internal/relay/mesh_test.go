@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,12 +28,13 @@ func buildLinks(topo Topology, seed int64, reg *metrics.Registry, spec netlink.I
 	return buildLinksPer(topo, seed, reg, func(int) netlink.ImpairConfig { return spec })
 }
 
-// buildLinksPer is buildLinks with a per-link impairment profile.
+// buildLinksPer is buildLinks with a per-link impairment profile. A
+// profile's Clock paces the link's pipe as well as its impairment stage.
 func buildLinksPer(topo Topology, seed int64, reg *metrics.Registry, specFor func(li int) netlink.ImpairConfig) testLinks {
 	var tl testLinks
 	for i := range topo.Links {
-		a, b := netlink.Pipe(netlink.PipeConfig{Seed: seed + int64(3*i) + 1})
 		spec := specFor(i)
+		a, b := netlink.Pipe(netlink.PipeConfig{Seed: seed + int64(3*i) + 1, Clock: spec.Clock})
 		ica, icb := spec, spec
 		ica.Seed, icb.Seed = seed+int64(3*i)+2, seed+int64(3*i)+3
 		ica.Metrics, icb.Metrics = reg, reg
@@ -401,4 +404,45 @@ func TestMeshSubmitAfterClose(t *testing.T) {
 	if _, err := m.Submit([]byte("late")); err != ErrClosed {
 		t.Fatalf("Submit after close: %v, want ErrClosed", err)
 	}
+}
+
+// TestMeshCloseLeavesNoWheels builds and closes a wall-clock mesh
+// several times: every hop supervisor must share the process-wide
+// default wheel, so at most that one wheel goroutine may remain.
+// (testutil's leak guard allowlists every wheel goroutine, so it cannot
+// catch this on its own.)
+func TestMeshCloseLeavesNoWheels(t *testing.T) {
+	topo := Topology{Nodes: 3, Links: []Link{{A: 0, B: 1}, {A: 1, B: 2}}}
+	for i := int64(0); i < 3; i++ {
+		reg := metrics.New()
+		tl := buildLinks(topo, 800+i, reg, netlink.ImpairConfig{})
+		m, err := New(Config{Topology: topo, Links: tl.conns, Source: 0, Dest: 2, Seed: 800 + i, Metrics: reg})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		m.Close()
+	}
+	if n := wheelGoroutines(); n > 1 {
+		t.Fatalf("%d timer-wheel goroutines still running after Close, want at most the default wheel", n)
+	}
+}
+
+// wheelGoroutines counts goroutines running a timer wheel's loop.
+func wheelGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "ghm/internal/engine.(*Wheel).run(") {
+			count++
+		}
+	}
+	return count
 }

@@ -272,9 +272,10 @@ func nextHop(route []byte, self int) (int, bool) {
 	return 0, false
 }
 
-// reverseRoute returns a reversed copy of route (for acks).
-func reverseRoute(route []byte) []byte {
-	out := make([]byte, len(route))
+// reverseRoute writes route reversed into buf (for acks) and returns
+// that prefix of buf; a parsed route fits a [maxRouteLen]byte buffer.
+func reverseRoute(buf, route []byte) []byte {
+	out := buf[:len(route)]
 	for i, b := range route {
 		out[len(route)-1-i] = b
 	}

@@ -131,9 +131,10 @@ type Config[S any] struct {
 	// Clock.Seed; the resolved value is readable via Seed()).
 	Seed int64
 	// Wheel paces the watchdog poll, the backoff sleeps and the breaker
-	// cooldown (default: a wheel for Clock — engine.DefaultWheel() when
-	// Clock is nil too). Sharing the process-wide wheel keeps supervisors
-	// off runtime timers, like every other retry in the runtime.
+	// cooldown (default: engine.WheelFor(Clock), the shared
+	// engine.DefaultWheel() on the wall clock). Sharing the process-wide
+	// wheel keeps supervisors off runtime timers, like every other retry
+	// in the runtime.
 	Wheel *engine.Wheel
 	// Clock stamps progress, transitions and breaker windows (default:
 	// the Wheel's clock, i.e. the wall clock unless one was injected).
@@ -180,11 +181,7 @@ func (c Config[S]) withDefaults() Config[S] {
 		c.PartitionAfter = 2
 	}
 	if c.Wheel == nil {
-		if c.Clock != nil {
-			c.Wheel = engine.NewWheelOn(c.Clock, 0, 0)
-		} else {
-			c.Wheel = engine.DefaultWheel()
-		}
+		c.Wheel = engine.WheelFor(c.Clock)
 	}
 	if c.Clock == nil {
 		c.Clock = c.Wheel.Clock()
